@@ -7,12 +7,17 @@ would receive them. There is no socket — ``handle`` is called directly
 — but every request passes through JSON encode/decode so the data path
 is honest.
 
-``handle_async`` is the high-concurrency twin: query routes with an
-attached :class:`~repro.core.serve.frontend.AsyncServeFrontend` go
-through admission control and SLO-aware batching (concurrent callers
-share hardware batches); admission refusals surface as HTTP 429 with a
-``retry_after`` hint. Every other route delegates to the synchronous
-path unchanged.
+Every request runs one pipeline: parse, tenant resolution, route
+match, the ``gateway.dispatch`` fault point, the handler under the
+tenant's context, serialisation, error mapping and metrics. ``handle``
+and ``handle_async`` are thin shells over it that differ only in how a
+query for a job with an attached
+:class:`~repro.core.serve.frontend.AsyncServeFrontend` is executed: the
+async shell awaits the front end's admission and SLO-aware batching on
+its loop; the sync shell hands the same submit to the front end's loop,
+running on another thread, and blocks for the answer. Either way the
+query is admitted and batched, or answered 429 (shed, with a
+``retry_after`` hint) or 503 (front end unavailable).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from repro.core.tune import HyperConf
 from repro.exceptions import (
     DatasetNotFoundError,
     DroppedResponse,
+    FrontendUnavailableError,
     GatewayError,
     InjectedFault,
     JobNotFoundError,
@@ -113,9 +119,8 @@ class Gateway:
         self.requests_handled = 0
         #: the Database behind POST /sql (None until attached).
         self._sql_database: Any = None
-        #: job_id -> AsyncServeFrontend for the async query path.
+        #: job_id -> the AsyncServeFrontend that job's queries go through.
         self._frontends: dict[str, Any] = {}
-        self._query_pattern = re.compile(r"^/query/(?P<job_id>[\w\-./]+)$")
 
     def handle(
         self,
@@ -126,16 +131,52 @@ class Gateway:
     ) -> Response:
         """Route one request. The body is round-tripped through JSON.
 
-        Every request — matched or not — is counted per route template,
-        status and tenant, and its handler latency (read from the
-        injectable telemetry clock) lands in the per-route latency
-        histogram. The tenant comes from the ``tenant`` argument (an
-        HTTP gateway would read a header), falling back to a
-        ``"tenant"`` body field, then to the default tenant; unknown or
-        suspended tenants get 403 before any handler runs.
+        ``tenant`` plays an HTTP header's part. A query for a job with
+        an attached front end blocks on the front end's loop, which
+        must be running on another thread.
+        """
+        pipeline = self._pipeline(method, path, body, tenant, "default", _block_on_frontend)
+        try:
+            pipeline.send(None)
+        except StopIteration as done:
+            return done.value
+        raise RuntimeError("the synchronous gateway pipeline suspended")
+
+    async def handle_async(
+        self,
+        method: str,
+        path: str,
+        body: dict[str, Any] | None = None,
+        client_id: str = "default",
+        tenant: str | None = None,
+    ) -> Response:
+        """Route one request on an event loop; see :meth:`handle`.
+
+        A query for a job with an attached front end awaits its
+        admission and batching on this loop, with ``client_id`` and the
+        resolved tenant feeding its rate limiters.
+        """
+        return await self._pipeline(method, path, body, tenant, client_id, _await_frontend)
+
+    async def _pipeline(
+        self,
+        method: str,
+        path: str,
+        body: Any,
+        tenant: str | None,
+        client_id: str,
+        submit: Callable[..., Any],
+    ) -> Response:
+        """The request pipeline both shells run; see the module docstring.
+
+        Every request, matched or not, is counted per route template,
+        status and tenant, and its latency lands in the per-route
+        histogram. Unknown or suspended tenants get 403 before any
+        handler runs. ``submit`` executes a front-end query.
         """
         clock = telemetry.get_clock()
         start = clock.now()
+        method = method.upper()
         route_name = "(unmatched)"
         response = None
         injected_latency = 0.0
@@ -145,7 +186,10 @@ class Gateway:
         except (TypeError, ValueError) as exc:
             payload = None
             response = Response(400, {"error": f"body is not JSON-serialisable: {exc}"})
-        tenant_name = self._resolve_tenant_name(tenant, payload)
+        # Explicit argument (header) > body field > default tenant.
+        if not tenant and isinstance(payload, dict):
+            tenant = payload.get("tenant")
+        tenant_name = str(tenant or DEFAULT_TENANT)
         if response is None:
             try:
                 self.system.tenants.resolve(tenant_name)
@@ -153,9 +197,7 @@ class Gateway:
                 response = self._error_response(exc)
         if response is None:
             for route_method, pattern, handler, name in self._routes:
-                if route_method != method.upper():
-                    continue
-                match = pattern.match(path)
+                match = pattern.match(path) if route_method == method else None
                 if match:
                     route_name = name
                     try:
@@ -166,6 +208,8 @@ class Gateway:
                         injected_latency = chaos.fire("gateway.dispatch")
                         with tenant_context(tenant_name):
                             result = handler(payload, **match.groupdict())
+                            if isinstance(result, _FrontendQuery):
+                                result = await submit(result, client_id, tenant_name)
                         response = self._serialise(result)
                     except Exception as exc:
                         response = self._error_response(exc)
@@ -178,7 +222,7 @@ class Gateway:
         registry.counter(
             "repro_gateway_requests_total",
             "Gateway requests, by route, status and tenant.",
-        ).inc(method=method.upper(), route=route_name, status=str(response.status),
+        ).inc(method=method, route=route_name, status=str(response.status),
               tenant=tenant_name)
         registry.histogram(
             "repro_gateway_request_seconds",
@@ -188,26 +232,20 @@ class Gateway:
         return response
 
     @staticmethod
-    def _resolve_tenant_name(tenant: str | None, payload: Any) -> str:
-        """Explicit argument (header) > body field > default tenant."""
-        if tenant:
-            return str(tenant)
-        if isinstance(payload, dict) and payload.get("tenant"):
-            return str(payload["tenant"])
-        return DEFAULT_TENANT
-
-    @staticmethod
     def _error_response(exc: Exception) -> Response | None:
         """Map one handler exception to an HTTP-like response.
 
-        Shared by the sync and async paths so both speak the same
-        status vocabulary. Returns ``None`` for exceptions the gateway
-        does not own (genuine bugs), which the caller re-raises.
+        Returns ``None`` for exceptions the gateway does not own
+        (genuine bugs), which the caller re-raises.
         """
         if isinstance(exc, DroppedResponse):
             return Response(504, {"error": f"response dropped: {exc}"})
         if isinstance(exc, InjectedFault):
             return Response(503, {"error": f"backend unavailable: {exc}"})
+        if isinstance(exc, FrontendUnavailableError):
+            # The server cannot serve the query right now; the client
+            # did nothing wrong, so this is 503, never 400.
+            return Response(503, {"error": str(exc), "reason": exc.reason})
         if isinstance(exc, (RequestShedError, QueueOverflowError)):
             # Admission control refused the request: overload, not a
             # client or server bug — 429 plus a retry hint, so
@@ -243,92 +281,20 @@ class Gateway:
             return Response(400, {"error": str(exc)})
         return None
 
-    # ------------------------------------------------------------------
-    # the async front-end path
-    # ------------------------------------------------------------------
-
     def attach_frontend(self, job_id: str, frontend: Any) -> None:
         """Route ``POST /query/{job_id}`` through a serving front end.
 
-        ``frontend`` is a started
+        ``frontend`` is an
         :class:`~repro.core.serve.frontend.AsyncServeFrontend`; from now
-        on :meth:`handle_async` queries for this job go through its
-        admission control and batch dispatcher instead of the direct
-        synchronous call.
+        on every query for this job, on either shell, passes its
+        admission control and batch dispatcher. While it is not running
+        such queries answer 503.
         """
         self._frontends[job_id] = frontend
 
     def detach_frontend(self, job_id: str) -> None:
-        """Return a job's queries to the synchronous path."""
+        """Return a job's queries to the direct ensemble call."""
         self._frontends.pop(job_id, None)
-
-    async def handle_async(
-        self,
-        method: str,
-        path: str,
-        body: dict[str, Any] | None = None,
-        client_id: str = "default",
-        tenant: str | None = None,
-    ) -> Response:
-        """Async twin of :meth:`handle`.
-
-        Query routes for jobs with an attached front end await
-        admission + batching (and carry ``client_id`` and the resolved
-        tenant into the per-client and per-tenant rate limiters); every
-        other request delegates to the synchronous path unchanged.
-        """
-        if method.upper() == "POST":
-            match = self._query_pattern.match(path)
-            if match:
-                frontend = self._frontends.get(match.group("job_id"))
-                if frontend is not None:
-                    return await self._query_via_frontend(
-                        frontend, body, client_id, tenant
-                    )
-        return self.handle(method, path, body, tenant=tenant)
-
-    async def _query_via_frontend(
-        self,
-        frontend: Any,
-        body: dict[str, Any] | None,
-        client_id: str,
-        tenant: str | None = None,
-    ) -> Response:
-        clock = telemetry.get_clock()
-        start = clock.now()
-        self.requests_handled += 1
-        try:
-            payload = json.loads(json.dumps(body)) if body is not None else {}
-        except (TypeError, ValueError) as exc:
-            payload = None
-            response = Response(400, {"error": f"body is not JSON-serialisable: {exc}"})
-        tenant_name = self._resolve_tenant_name(tenant, payload)
-        if payload is not None:
-            try:
-                self.system.tenants.resolve(tenant_name)
-                if "img" not in payload:
-                    raise GatewayError("POST /query requires 'img'")
-                image = _parse_image(payload["img"])
-                result = await frontend.submit(
-                    image, client_id=client_id, tenant=tenant_name
-                )
-                response = self._serialise(result)
-            except Exception as exc:
-                response = self._error_response(exc)
-                if response is None:
-                    raise
-        registry = telemetry.get_registry()
-        registry.counter(
-            "repro_gateway_requests_total",
-            "Gateway requests, by route, status and tenant.",
-        ).inc(method="POST", route="/query/{job_id}", status=str(response.status),
-              tenant=tenant_name)
-        registry.histogram(
-            "repro_gateway_request_seconds",
-            "Gateway handler latency per route.",
-            buckets=REQUEST_SECONDS_BUCKETS,
-        ).observe(clock.now() - start, route="/query/{job_id}")
-        return response
 
     @staticmethod
     def _serialise(result: Any) -> Response:
@@ -473,10 +439,22 @@ class Gateway:
         self.system.stop_inference_job(job_id)
         return {"job_id": job_id, "status": "stopped"}
 
-    def _post_query(self, body: dict, job_id: str) -> dict:
+    def _post_query(self, body: dict, job_id: str) -> Any:
+        """Serve a query through the job's front end, or call the ensemble.
+
+        This is the one place that decides how a query is served. With
+        a front end attached, the shell's ``submit`` runs the returned
+        :class:`_FrontendQuery`, whose shape the executor checks per
+        payload; otherwise the image (or a batch of them) is checked
+        here and voted on directly.
+        """
         if "img" not in body:
             raise GatewayError("POST /query requires 'img'")
-        return self.system.query(job_id, _parse_image(body["img"]))
+        frontend = self._frontends.get(job_id)
+        if frontend is not None:
+            return _FrontendQuery(frontend, _parse_image(body["img"]))
+        shape = _input_shape(self.system, job_id)
+        return self.system.query(job_id, _parse_image(body["img"], shape, batched=True))
 
     def attach_sql_database(self, database: Any) -> None:
         """Serve ``POST /sql`` from this :class:`~repro.sqlext.Database`.
@@ -512,18 +490,47 @@ class Gateway:
         return dashboard_data(self.system)
 
 
-def _parse_image(raw: Any) -> np.ndarray:
+@dataclass(frozen=True)
+class _FrontendQuery:
+    """A query the ``/query`` handler hands to the job's front end."""
+
+    frontend: Any
+    image: np.ndarray
+
+
+async def _await_frontend(query: _FrontendQuery, client_id: str, tenant: str) -> Any:
+    """The async shell's ``submit``: await admission on this loop."""
+    return await query.frontend.submit(query.image, client_id=client_id, tenant=tenant)
+
+
+async def _block_on_frontend(query: _FrontendQuery, client_id: str, tenant: str) -> Any:
+    """The sync shell's ``submit``: block on the front end's loop; never suspends."""
+    return query.frontend.submit_blocking(query.image, client_id=client_id, tenant=tenant)
+
+
+def _input_shape(system: Rafiki, job_id: str) -> tuple[int, ...]:
+    """The per-image shape the job's deployed networks take."""
+    return system.get_inference_job(job_id).networks[0].input_shape
+
+
+def _parse_image(
+    raw: Any, shape: tuple[int, ...] | None = None, batched: bool = False
+) -> np.ndarray:
     """Decode a request's image payload into a float array, or 400.
 
-    A ragged nested list raises ``ValueError`` out of ``np.asarray``;
-    without this guard that crashes the server loop (sync path) or
-    poisons a whole batch (async path) instead of answering 400 for the
-    one malformed request.
+    Ragged lists and, given ``shape``, wrong shapes raise
+    :class:`GatewayError`. With ``batched`` a stack ``(N, *shape)`` of
+    images passes too.
     """
     try:
-        return np.asarray(raw, dtype=np.float64)
+        array = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise GatewayError(f"'img' is not a numeric image: {exc}") from exc
+    if shape is not None and array.shape != shape and not (
+        batched and array.ndim == len(shape) + 1 and array.shape[1:] == shape
+    ):
+        raise GatewayError(f"image shape {array.shape} does not match expected {shape}")
+    return array
 
 
 def make_query_executor(system: Rafiki, job_id: str) -> Callable[[list, int], list]:
@@ -533,7 +540,7 @@ def make_query_executor(system: Rafiki, job_id: str) -> Callable[[list, int], li
     stacks the images into one array, runs a single ensemble query (so
     the whole batch pays one vote), and splits the batched result back
     into per-request ``{"label", "votes", "models"}`` dicts — the same
-    shape a synchronous ``POST /query`` returns.
+    shape a ``POST /query`` without a front end returns.
 
     Shapes are validated *per payload*: one client's wrong-shaped image
     gets its own :class:`GatewayError` (a 400 on its own future) while
@@ -542,38 +549,17 @@ def make_query_executor(system: Rafiki, job_id: str) -> Callable[[list, int], li
     a cross-tenant isolation hole.
     """
 
-    def expected_shape() -> tuple[int, ...] | None:
-        try:
-            info = system.get_inference_job(job_id)
-            dataset = next(s.dataset for s in info.specs if s.dataset)
-            return tuple(system.store.get_handle(dataset).image_shape)
-        except Exception:
-            return None
-
     def executor(payloads: list, batch_size: int) -> list[Any]:
-        expected = expected_shape()
-        results: list[Any] = [None] * len(payloads)
-        arrays: list[np.ndarray] = []
-        kept: list[int] = []
-        for index, payload in enumerate(payloads):
+        shape = _input_shape(system, job_id)
+        results: list[Any] = []
+        for payload in payloads:
             try:
-                array = _parse_image(payload)
+                results.append(_parse_image(payload, shape))
             except GatewayError as exc:
-                results[index] = exc
-                continue
-            shape = expected if expected is not None else (
-                arrays[0].shape if arrays else array.shape
-            )
-            if array.shape != shape:
-                results[index] = GatewayError(
-                    f"image shape {array.shape} does not match expected {shape}"
-                )
-                continue
-            arrays.append(array)
-            kept.append(index)
-        if arrays:
-            batch = np.stack(arrays)
-            result = system.query(job_id, batch)
+                results.append(exc)
+        kept = [i for i, r in enumerate(results) if not isinstance(r, GatewayError)]
+        if kept:
+            result = system.query(job_id, np.stack([results[i] for i in kept]))
             for position, index in enumerate(kept):
                 results[index] = {
                     "label": result["label"][position],

@@ -14,6 +14,7 @@ from repro.core.serve.actor_critic import ActorCritic
 from repro.core.serve.arrival import SineArrival, solve_sine_coefficients
 from repro.core.serve.batching import DEFAULT_BATCH_SIZES, BatchDecision, GreedyBatcher
 from repro.core.serve.controllers import (
+    AIMDController,
     Controller,
     Dispatch,
     GreedyAsyncController,
@@ -24,6 +25,22 @@ from repro.core.serve.controllers import (
 )
 from repro.core.serve.ensemble import EnsembleScorer
 from repro.core.serve.env import ServingEnv
+from repro.core.serve.frontend import (
+    AsyncServeFrontend,
+    FrontendConfig,
+    FrontendRequest,
+    ScalingAdvisor,
+    ServeFrontend,
+    TokenBucket,
+)
+from repro.core.serve.loadgen import (
+    LoadGenConfig,
+    LoadTrace,
+    ReplicaPool,
+    capacity_qps,
+    run_load,
+    run_multi_load,
+)
 from repro.core.serve.metrics import DispatchRecord, ServingMetrics, TimelineRow
 from repro.core.serve.pred_cache import PredictionCache
 from repro.core.serve.profiler import fit_affine_latency, profile_network
@@ -60,30 +77,7 @@ __all__ = [
     "batch_reward",
     "count_overdue",
     "mean_exceeding_time",
-]
-
-from repro.core.serve.controllers import AIMDController  # noqa: E402
-
-__all__ += ["AIMDController"]
-
-from repro.core.serve.frontend import (  # noqa: E402
-    AsyncServeFrontend,
-    FrontendConfig,
-    FrontendRequest,
-    ScalingAdvisor,
-    ServeFrontend,
-    TokenBucket,
-)
-from repro.core.serve.loadgen import (  # noqa: E402
-    LoadGenConfig,
-    LoadTrace,
-    ReplicaPool,
-    capacity_qps,
-    run_load,
-    run_multi_load,
-)
-
-__all__ += [
+    "AIMDController",
     "ServeFrontend",
     "AsyncServeFrontend",
     "FrontendConfig",

@@ -45,6 +45,7 @@ from repro.core.serve.batching import DEFAULT_BATCH_SIZES, GreedyBatcher
 from repro.core.serve.metrics import LATENCY_BUCKETS
 from repro.exceptions import (
     ConfigurationError,
+    FrontendUnavailableError,
     InjectedFault,
     RequestShedError,
 )
@@ -98,11 +99,10 @@ class TokenBucket:
         the ``retry_after`` hint: seconds until enough tokens will have
         accrued.
         """
-        self._refill(now)
-        if self.tokens + 1e-12 >= cost:
+        wait = self.peek(now, cost)
+        if wait == 0.0:
             self.tokens -= cost
-            return 0.0
-        return (cost - self.tokens) / self.rate
+        return wait
 
     def peek(self, now: float, cost: float = 1.0) -> float:
         """The ``retry_after`` a :meth:`try_take` at ``now`` would return.
@@ -218,11 +218,6 @@ class FrontendRequest:
     #: the asyncio future the async shell resolves (None elsewhere).
     future: Any = None
 
-    @property
-    def done(self) -> bool:
-        """Whether the request reached a terminal state."""
-        return self.completed_at is not None or self.shed_reason is not None
-
 
 class PendingQueue:
     """FIFO queue of admitted :class:`FrontendRequest` objects.
@@ -240,9 +235,6 @@ class PendingQueue:
 
     def __len__(self) -> int:
         return len(self._requests)
-
-    def __bool__(self) -> bool:
-        return bool(self._requests)
 
     def count(self, tenant: str) -> int:
         """Queued requests currently owned by ``tenant``."""
@@ -756,13 +748,31 @@ class AsyncServeFrontend:
     ) -> Any:
         """Submit one request; returns the result or raises on shed."""
         if not self._running:
-            raise ConfigurationError("frontend is not running (call start())")
+            raise FrontendUnavailableError("not_running")
         request = self.core.offer(client_id, payload, self._now(), tenant=tenant)
         future = self._loop.create_future()
         request.future = future
         request.on_shed = _fail_future
         self._wake.set()
         return await future
+
+    def submit_blocking(
+        self, payload: Any, client_id: str = "default", tenant: str = DEFAULT_TENANT
+    ) -> Any:
+        """:meth:`submit` from another thread, blocking for the answer.
+
+        Raises :class:`~repro.exceptions.FrontendUnavailableError`
+        rather than bypass admission when the front end or its loop is
+        not running, or on the loop's own thread, where blocking would
+        deadlock. Requests still pending at :meth:`stop` are shed.
+        """
+        if not self._running or not self._loop.is_running():
+            raise FrontendUnavailableError("not_running")
+        if asyncio._get_running_loop() is self._loop:
+            raise FrontendUnavailableError("loop_thread")
+        return asyncio.run_coroutine_threadsafe(
+            self.submit(payload, client_id=client_id, tenant=tenant), self._loop
+        ).result()
 
     async def _dispatch_loop(self) -> None:
         while self._running:

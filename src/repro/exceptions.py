@@ -118,6 +118,20 @@ class RequestShedError(ServingError):
         self.retry_after = float(retry_after)
 
 
+class FrontendUnavailableError(ServingError):
+    """A serving front end cannot take a request right now.
+
+    ``reason`` is ``"not_running"`` (stopped, never started, or its loop
+    is not running) or ``"loop_thread"`` (a blocking submit from the
+    front end's own loop thread, which would deadlock). Gateways answer
+    HTTP 503 with the reason in the body.
+    """
+
+    def __init__(self, reason: str):
+        super().__init__(f"serving front end unavailable ({reason})")
+        self.reason = reason
+
+
 class TenancyError(RafikiError):
     """Base class for multi-tenant control-plane errors."""
 

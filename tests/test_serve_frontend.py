@@ -3,11 +3,14 @@
 Covers the sans-io core at hand-picked instants (admission edge cases,
 batcher integration, dispatch faults), the deterministic load harness
 (bit-identical same-seed traces, open and closed loop), the asyncio
-shell, the gateway's 429 backpressure contract, the scaling advisor's
-hysteresis, and a chaos-marked replica-death-mid-load scenario.
+shell, the gateway's 429 backpressure contract, a differential test
+that the sync and async gateway shells answer alike, the scaling
+advisor's hysteresis, and a chaos-marked replica-death-mid-load
+scenario.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -463,6 +466,190 @@ class TestGatewayBackpressure:
         gateway = Gateway(Rafiki(seed=5))
         response = asyncio.run(gateway.handle_async("GET", "/datasets"))
         assert response.ok
+
+
+@pytest.fixture(scope="module")
+def deployed():
+    """A trained, deployed two-model ensemble over 3x8x8 images."""
+    from repro.core.system import Rafiki
+    from repro.core.tune import HyperConf
+    from repro.data import make_image_classification
+
+    system = Rafiki(seed=5)
+    dataset = make_image_classification(
+        name="food", num_classes=3, image_shape=(3, 8, 8),
+        train_per_class=12, val_per_class=6, test_per_class=6,
+        difficulty=0.3, seed=11,
+    )
+    system.import_images(dataset)
+    job_id = system.create_train_job(
+        "t", "ImageClassification", "food",
+        hyper=HyperConf(max_trials=2, max_epochs_per_trial=2),
+    )
+    infer_id = system.create_inference_job(system.get_models(job_id))
+    system.tenants.register("frozen")
+    system.tenants.suspend("frozen")
+    return system, infer_id, dataset.test_x[0].tolist()
+
+
+@pytest.fixture
+def server_loop():
+    """An event loop on a background thread, as a serving process runs it."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    yield loop
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join()
+    loop.close()
+
+
+def on_loop(loop, coroutine):
+    return asyncio.run_coroutine_threadsafe(coroutine, loop).result()
+
+
+def through_both_shells(deployed, loop, bodies, tenant=None, attach=True,
+                        start=True, **limits):
+    """Send ``bodies`` through ``handle`` and ``handle_async`` in turn.
+
+    Each shell gets its own gateway and front end, so token buckets do
+    not carry over. The async shell runs on the front end's loop; the
+    sync shell blocks on it from this thread.
+    """
+    from repro.api.gateway import Gateway, make_query_executor
+
+    system, infer_id, _ = deployed
+    path = f"/query/{infer_id}"
+    answers = {}
+    for shell in ("sync", "async"):
+        gateway = Gateway(system)
+        frontend = AsyncServeFrontend(
+            FrontendConfig(latency=lambda b: 0.001, tau=0.05,
+                           batch_sizes=(1, 2, 4), max_queue=16, **limits),
+            make_query_executor(system, infer_id),
+        )
+        if attach:
+            gateway.attach_frontend(infer_id, frontend)
+        if start:
+            on_loop(loop, frontend.start())
+        try:
+            if shell == "sync":
+                answers[shell] = [
+                    gateway.handle("POST", path, body, tenant=tenant) for body in bodies
+                ]
+            else:
+                answers[shell] = [
+                    on_loop(loop, gateway.handle_async("POST", path, body, tenant=tenant))
+                    for body in bodies
+                ]
+        finally:
+            on_loop(loop, frontend.stop())
+    return answers["sync"], answers["async"]
+
+
+#: a 2x2 image for a job whose networks take 3x8x8
+WRONG_SHAPE = [[0.0, 0.0], [0.0, 0.0]]
+
+
+def assert_same_answers(sync, async_):
+    assert [r.status for r in sync] == [r.status for r in async_]
+    for left, right in zip(sync, async_):
+        assert sorted(left.body) == sorted(right.body)
+        if left.status in (429, 503):
+            assert left.body["reason"] == right.body["reason"]
+
+
+class TestShellDifferential:
+    """``handle`` and ``handle_async`` answer every request alike."""
+
+    #: case -> (body built from a good image, shell options, status)
+    CASES = {
+        "good image": (lambda image: {"img": image}, {}, 200),
+        "wrong shape": (lambda image: {"img": WRONG_SHAPE}, {}, 400),
+        "ragged list": (lambda image: {"img": [[1.0, 2.0], [3.0]]}, {}, 400),
+        "missing img": (lambda image: {}, {}, 400),
+        "list body": (lambda image: [image], {}, 400),
+        "string img": (lambda image: {"img": "a cat"}, {}, 400),
+        "not JSON-serialisable": (lambda image: {"img": object()}, {}, 400),
+        "suspended tenant": (lambda image: {"img": image}, {"tenant": "frozen"}, 403),
+        "front end not running": (lambda image: {"img": image}, {"start": False}, 503),
+        "no front end attached": (lambda image: {"img": image}, {"attach": False}, 200),
+        "wrong shape, no front end": (
+            lambda image: {"img": WRONG_SHAPE}, {"attach": False}, 400),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_status_and_body_keys(self, deployed, server_loop, case):
+        make_body, options, status = self.CASES[case]
+        body = make_body(deployed[2])
+        sync, async_ = through_both_shells(deployed, server_loop, [body], **options)
+        assert sync[0].status == status, sync[0].body
+        assert_same_answers(sync, async_)
+
+    def test_unknown_tenant_on_strict_registry(self, deployed, server_loop):
+        system, _, image = deployed
+        system.tenants.strict = True
+        try:
+            sync, async_ = through_both_shells(
+                deployed, server_loop, [{"img": image}], tenant="stranger"
+            )
+        finally:
+            system.tenants.strict = False
+        assert sync[0].status == 403
+        assert_same_answers(sync, async_)
+
+    def test_tenant_rate_limit_holds_on_both_shells(self, deployed, server_loop):
+        # Regression: the sync shell used to call the ensemble directly,
+        # so a tenant limited to 1 rps got ten 200s through handle.
+        image = deployed[2]
+        sync, async_ = through_both_shells(
+            deployed, server_loop, [{"img": image}] * 10, tenant="acme",
+            tenant_rate_limit=1.0, tenant_burst=1.0,
+        )
+        assert [r.status for r in sync] == [200] + [429] * 9
+        assert_same_answers(sync, async_)
+        assert {r.body["reason"] for r in sync[1:]} == {"tenant_rate_limit"}
+
+    def test_dispatch_fault_is_503_on_both_shells(self, deployed, server_loop):
+        # Regression: the async shell used to skip gateway.dispatch.
+        plan = FaultPlan([FaultRule("gateway.dispatch", FaultKind.EXCEPTION)], seed=0)
+        with chaos.active(plan):
+            sync, async_ = through_both_shells(
+                deployed, server_loop, [{"img": deployed[2]}]
+            )
+        assert sync[0].status == async_[0].status == 503
+
+    def test_sync_call_from_the_loop_thread_is_503(self, deployed, server_loop):
+        from repro.api.gateway import Gateway, make_query_executor
+
+        system, infer_id, image = deployed
+        gateway = Gateway(system)
+        frontend = AsyncServeFrontend(
+            FrontendConfig(latency=lambda b: 0.001, tau=0.05, batch_sizes=(1,)),
+            make_query_executor(system, infer_id),
+        )
+        gateway.attach_frontend(infer_id, frontend)
+
+        async def blocking_call_on_loop():
+            await frontend.start()
+            try:
+                return gateway.handle("POST", f"/query/{infer_id}", {"img": image})
+            finally:
+                await frontend.stop()
+
+        response = on_loop(server_loop, blocking_call_on_loop())
+        assert response.status == 503
+        assert response.body["reason"] == "loop_thread"
+
+    def test_direct_path_accepts_a_batch(self, deployed):
+        from repro.api.gateway import Gateway
+
+        system, infer_id, image = deployed
+        response = Gateway(system).handle(
+            "POST", f"/query/{infer_id}", {"img": [image, image]}
+        )
+        assert response.status == 200
+        assert len(response.body["label"]) == 2
 
 
 class TestScalingAdvisor:
