@@ -1,11 +1,12 @@
-"""Persistent worker pool with shared-memory IPC for trial execution.
+"""Multi-core trial execution on a persistent worker pool.
 
-:class:`~repro.core.tune.parallel.ParallelTrialExecutor` (the first
-cut at multi-core studies) spawns a fresh process pool per study and
-pickles the entire dataset into every child; ``BENCH_perf.json``
-showed that on small studies those fixed costs *exceed* the
-parallelism win.  Following Ray Tune's long-lived-executor design,
-this module keeps the processes and moves the bytes out of the pipe:
+:func:`~repro.core.tune.runner.run_study` interleaves every worker's
+epochs on one core: simulated time overlaps, real time does not.  A
+:class:`~repro.core.tune.backends.RealTrainer` study spends nearly all
+its real wall-clock inside ``train_epoch``, so, following Ray Tune's
+long-lived-executor design, :func:`run_study_parallel` farms that epoch
+work out to OS processes while leaving the master/worker message flow
+— and therefore the simulated-time :class:`StudyReport` — untouched:
 
 * :class:`TrialPool` owns N **long-lived** child processes that
   survive across trials *and across studies* — create one, run any
@@ -16,10 +17,17 @@ this module keeps the processes and moves the bytes out of the pipe:
 * Datasets and warm-start/parameter state tensors travel through
   ``multiprocessing.shared_memory`` as :class:`~repro.utils.shm.ShmTensor`
   handles — children map **zero-copy read-only views**; only scalars
-  and tiny arrays are ever pickled (``shm_min_bytes`` is the cut-off).
-* Children free-run whole trials and stream epoch records back in
-  **batches** (``epoch_batch`` records per message) instead of one
-  queue message per epoch.
+  and arrays under :data:`SHM_MIN_BYTES` are ever pickled.
+* Children free-run whole trials and stream one record per epoch; the
+  :class:`_PoolSession` handed to the
+  :class:`~repro.core.tune.worker.TuneWorker` replays those records as
+  the simulator asks for them.  While one worker waits on its next
+  epoch record, every other in-flight trial keeps training on its own
+  core.  Children apply the same epoch cap and (for Study-style
+  masters) the same :class:`EarlyStopper` rule as the parent worker, so
+  they stop exactly where the sequential run would; masters that
+  early-stop centrally (CoStudy) get per-epoch state snapshots instead,
+  so mid-trial ``kPut`` checkpoints see the same parameters.
 * Fault tolerance matches the chaos layer's contract: an exception in
   a child (e.g. an injected ``tune.pool.trial`` fault) or a **dead
   worker process** re-issues the in-flight trial to a fresh pool
@@ -54,15 +62,24 @@ from repro import chaos, telemetry
 from repro.core.tune.backends import RealTrainer
 from repro.core.tune.config import HyperConf
 from repro.core.tune.early_stopping import EarlyStopper
+from repro.core.tune.runner import run_study
+from repro.core.tune.study import StudyMaster, StudyReport
 from repro.core.tune.trial import Trial
+from repro.core.tune.worker import TuneWorker
 from repro.data.datasets import ImageDataset
 from repro.exceptions import ConfigurationError
+from repro.sim import Simulator
 from repro.utils.shm import ShmArena, ShmTensor
 
-__all__ = ["TrialPool", "PoolTrialExecutor"]
+__all__ = ["TrialPool", "PoolTrialExecutor", "run_study_parallel"]
 
 #: task-latency histogram buckets (real seconds).
 TASK_SECONDS_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0)
+#: arrays at least this big travel as shared-memory handles; smaller
+#: ones are pickled.
+SHM_MIN_BYTES = 4096
+#: fork where the platform has it (cheap, copy-on-write start-up).
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 # ----------------------------------------------------------------------
@@ -122,23 +139,21 @@ class _PoolSpec:
 
 
 def _pack_state(
-    state: dict[str, np.ndarray], arena: ShmArena, shm_min_bytes: int
-) -> tuple[dict[str, Any], int, int]:
+    state: dict[str, np.ndarray], arena: ShmArena
+) -> tuple[dict[str, Any], int]:
     """State dict -> payload of ShmTensor handles (big) / arrays (tiny).
 
-    Returns ``(payload, shm_bytes, pickled_bytes_estimate)``.
+    Returns ``(payload, shm_bytes)``.
     """
     payload: dict[str, Any] = {}
     shm_bytes = 0
-    small_bytes = 0
     for key, array in state.items():
-        if array.nbytes >= shm_min_bytes:
+        if array.nbytes >= SHM_MIN_BYTES:
             payload[key] = arena.publish(array)
             shm_bytes += array.nbytes
         else:
             payload[key] = np.array(array)  # detach from live buffers
-            small_bytes += array.nbytes
-    return payload, shm_bytes, small_bytes
+    return payload, shm_bytes
 
 
 def _unpack_state(payload: dict[str, Any] | None, arena: ShmArena) -> dict[str, np.ndarray] | None:
@@ -198,20 +213,13 @@ def _discard_state(payload: dict[str, Any] | None, arena: ShmArena) -> None:
 # ----------------------------------------------------------------------
 
 
-def _pool_worker(
-    worker_id: int,
-    prefix: str,
-    task_queue,
-    result_queue,
-    epoch_batch: int,
-    shm_min_bytes: int,
-) -> None:
+def _pool_worker(worker_id: int, prefix: str, task_queue, result_queue) -> None:
     """Long-lived child: rebuild trainers lazily, run trials forever.
 
     Messages out (all tagged with ``worker_id`` and the job's
-    ``generation``): ``claim`` when a job is picked up, ``batch`` with
-    up to ``epoch_batch`` epoch records, ``done`` with the final state,
-    ``error`` with the exception repr.
+    ``generation``): ``claim`` when a job is picked up, ``epoch`` with
+    one epoch's accuracy (and state snapshot, if asked for), ``done``
+    with the final state, ``error`` with the exception repr.
     """
     arena = ShmArena(prefix=prefix)
     clock = telemetry.get_clock()
@@ -243,7 +251,7 @@ def _pool_worker(
             job = task_queue.get()
             if job is None:
                 return
-            spec, trial, init_payload, epoch_cap, snapshot, generation = job
+            spec, trial, init_payload, epoch_cap, generation = job
             result_queue.put(("claim", worker_id, generation, trial.trial_id))
             started = clock.now()
             try:
@@ -255,36 +263,23 @@ def _pool_worker(
                     if spec.local_early_stop
                     else None
                 )
-                batch: list[tuple[float, dict | None]] = []
-                shm_bytes = 0
-
-                def flush() -> None:
-                    nonlocal batch, shm_bytes
-                    if batch:
-                        result_queue.put(
-                            ("batch", worker_id, generation, trial.trial_id,
-                             batch, shm_bytes)
-                        )
-                        batch, shm_bytes = [], 0
-
                 for _ in range(epoch_cap):
                     chaos.fire("tune.pool.trial")
                     accuracy = session.run_epoch()
-                    state_payload = None
-                    if snapshot:
-                        state_payload, nbytes, _ = _pack_state(
-                            session.state_dict(), arena, shm_min_bytes
+                    state_payload, shm_bytes = None, 0
+                    if stopper is None:
+                        # the master stops trials centrally, at any epoch
+                        # and with a checkpoint: ship every epoch's state
+                        state_payload, shm_bytes = _pack_state(
+                            session.state_dict(), arena
                         )
-                        shm_bytes += nbytes
-                    batch.append((float(accuracy), state_payload))
-                    if len(batch) >= epoch_batch:
-                        flush()
+                    result_queue.put(
+                        ("epoch", worker_id, generation, trial.trial_id,
+                         float(accuracy), state_payload, shm_bytes)
+                    )
                     if stopper is not None and stopper.update(accuracy):
                         break
-                flush()
-                final_payload, final_shm, _ = _pack_state(
-                    session.state_dict(), arena, shm_min_bytes
-                )
+                final_payload, final_shm = _pack_state(session.state_dict(), arena)
                 result_queue.put(
                     ("done", worker_id, generation, trial.trial_id,
                      final_payload, final_shm, clock.now() - started)
@@ -330,26 +325,14 @@ class TrialPool:
     RESULT_TIMEOUT = 600.0
     #: queue-poll interval; also the dead-worker detection latency.
     POLL_SECONDS = 0.2
+    #: how often a crashed trial is resubmitted before its error surfaces.
+    TRIAL_RETRIES = 2
 
-    def __init__(
-        self,
-        processes: int | None = None,
-        mp_context: str | None = None,
-        epoch_batch: int = 8,
-        trial_retries: int = 2,
-        shm_min_bytes: int = 4096,
-    ):
+    def __init__(self, processes: int | None = None):
         self.processes = int(processes) if processes else (os.cpu_count() or 1)
         if self.processes < 1:
             raise ConfigurationError(f"processes must be >= 1, got {processes}")
-        if mp_context is None:
-            mp_context = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            )
-        self._ctx = multiprocessing.get_context(mp_context)
-        self.epoch_batch = max(1, int(epoch_batch))
-        self.trial_retries = int(trial_retries)
-        self.shm_min_bytes = int(shm_min_bytes)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self.arena = ShmArena()
         self._procs: dict[int, multiprocessing.Process] = {}
         self._task_queue = None
@@ -372,7 +355,7 @@ class TrialPool:
         proc = self._ctx.Process(
             target=_pool_worker,
             args=(worker_id, self.arena.prefix, self._task_queue,
-                  self._result_queue, self.epoch_batch, self.shm_min_bytes),
+                  self._result_queue),
             daemon=True,
         )
         proc.start()
@@ -452,11 +435,9 @@ class TrialPool:
         trainer: RealTrainer,
         conf: HyperConf,
         local_early_stop: bool = True,
-        snapshot_states: bool = False,
     ) -> "PoolTrialExecutor":
         return PoolTrialExecutor(
-            trainer, conf, pool=self,
-            local_early_stop=local_early_stop, snapshot_states=snapshot_states,
+            trainer, conf, pool=self, local_early_stop=local_early_stop
         )
 
     # -- submission ----------------------------------------------------
@@ -467,7 +448,6 @@ class TrialPool:
         trial: Trial,
         init_state: dict[str, np.ndarray] | None,
         epoch_cap: int,
-        snapshot: bool,
     ) -> None:
         self.start()
         state = self._trials.get(trial.trial_id)
@@ -489,15 +469,14 @@ class TrialPool:
         if init_state:
             init_payload = {}
             for key, array in init_state.items():
-                if array.nbytes >= self.shm_min_bytes:
+                if array.nbytes >= SHM_MIN_BYTES:
                     handle = self.arena.share(array)
                     state.init_handles.append(handle)
                     init_payload[key] = handle
                     self._count_bytes("shm", "to_worker", array.nbytes)
                 else:
                     init_payload[key] = np.array(array)
-        job = (spec, trial, init_payload, int(epoch_cap), bool(snapshot),
-               state.generation)
+        job = (spec, trial, init_payload, int(epoch_cap), state.generation)
         state.job = job
         self._dispatch(job, outcome="dispatched")
 
@@ -546,22 +525,20 @@ class TrialPool:
         if state is not None and state.generation == generation:
             state.claimed_by = worker_id
 
-    def _on_batch(
+    def _on_epoch(
         self, worker_id: int, generation: int, trial_id: int,
-        records: list, shm_bytes: int,
+        accuracy: float, payload: dict | None, shm_bytes: int,
     ) -> None:
         state = self._trials.get(trial_id)
         if state is None or state.generation != generation:
-            for _, payload in records:  # stale stream: free its segments
-                _discard_state(payload, self.arena)
+            _discard_state(payload, self.arena)  # stale stream: free its segments
             return
         self._count_bytes("shm", "from_worker", shm_bytes)
-        for accuracy, payload in records:
-            if state.skip > 0:  # replayed epoch of a resubmitted trial
-                state.skip -= 1
-                _discard_state(payload, self.arena)
-                continue
-            state.records.append((accuracy, _unpack_state(payload, self.arena)))
+        if state.skip > 0:  # replayed epoch of a resubmitted trial
+            state.skip -= 1
+            _discard_state(payload, self.arena)
+            return
+        state.records.append((accuracy, _unpack_state(payload, self.arena)))
 
     def _on_done(
         self, worker_id: int, generation: int, trial_id: int,
@@ -607,7 +584,7 @@ class TrialPool:
         exhausted = state is None or state.job is None
         if state is not None:
             state.crashes += 1
-            exhausted = exhausted or state.crashes > self.trial_retries
+            exhausted = exhausted or state.crashes > self.TRIAL_RETRIES
         self._registry().counter(
             "repro_tune_pool_trial_errors_total",
             "Worker-side trial failures, by outcome.",
@@ -728,6 +705,11 @@ class PoolTrialExecutor:
     every ``start()`` becomes a tiny queue message.  When constructed
     without an explicit pool it creates one sized ``processes`` and
     owns its lifecycle; pass ``pool=`` to reuse workers across studies.
+
+    ``local_early_stop`` mirrors the master's
+    ``workers_early_stop_locally``: with it, workers apply the
+    :class:`EarlyStopper` themselves; without it (CoStudy), they stream
+    every epoch's state so the master can stop and checkpoint anywhere.
     """
 
     def __init__(
@@ -737,7 +719,6 @@ class PoolTrialExecutor:
         pool: TrialPool | None = None,
         processes: int | None = None,
         local_early_stop: bool = True,
-        snapshot_states: bool = False,
     ):
         if not isinstance(trainer, RealTrainer):
             raise ConfigurationError(
@@ -748,8 +729,6 @@ class PoolTrialExecutor:
         self.pool = pool if pool is not None else TrialPool(processes=processes)
         self.owns_pool = pool is None
         self.local_early_stop = bool(local_early_stop)
-        self.snapshot_states = bool(snapshot_states)
-        self._spec: _PoolSpec | None = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -773,20 +752,21 @@ class PoolTrialExecutor:
     # -- TrainerBackend protocol ---------------------------------------
 
     def _build_spec(self) -> _PoolSpec:
-        if self._spec is None:
-            self._spec = _PoolSpec(
-                dataset=self.pool.share_dataset(self.trainer.dataset),
-                builder=self.trainer.builder,
-                batch_size=self.trainer.batch_size,
-                seconds_per_epoch=self.trainer.seconds_per_epoch,
-                use_augmentation=self.trainer.use_augmentation,
-                arch_knobs=self.trainer.arch_knobs,
-                seed=self.trainer.seed,
-                local_early_stop=self.local_early_stop,
-                patience=self.conf.early_stop_patience,
-                min_delta=self.conf.early_stop_min_delta,
-            )
-        return self._spec
+        # Not cached here: the pool caches the shared dataset until it
+        # shuts down, and a spec naming the segments of a shut-down pool
+        # would fail in the workers of the restarted one.
+        return _PoolSpec(
+            dataset=self.pool.share_dataset(self.trainer.dataset),
+            builder=self.trainer.builder,
+            batch_size=self.trainer.batch_size,
+            seconds_per_epoch=self.trainer.seconds_per_epoch,
+            use_augmentation=self.trainer.use_augmentation,
+            arch_knobs=self.trainer.arch_knobs,
+            seed=self.trainer.seed,
+            local_early_stop=self.local_early_stop,
+            patience=self.conf.early_stop_patience,
+            min_delta=self.conf.early_stop_min_delta,
+        )
 
     def start(
         self, trial: Trial, init_state: dict[str, np.ndarray] | None
@@ -797,10 +777,56 @@ class PoolTrialExecutor:
             if trial.max_epochs is not None
             else self.conf.max_epochs_per_trial
         )
-        self.pool.submit(
-            self._build_spec(), trial, init_state, epoch_cap, self.snapshot_states
-        )
+        self.pool.submit(self._build_spec(), trial, init_state, epoch_cap)
         return _PoolSession(self.pool, trial)
 
     def epoch_cost(self, trial: Trial) -> float:
         return self.trainer.epoch_cost(trial)
+
+
+def run_study_parallel(
+    master: StudyMaster,
+    workers: list[TuneWorker],
+    processes: int | None = None,
+    sim: Simulator | None = None,
+    max_events: int = 5_000_000,
+    pool: TrialPool | None = None,
+) -> StudyReport:
+    """:func:`run_study`, with real epoch work spread over processes.
+
+    The workers' :class:`RealTrainer` backend is swapped for a
+    :class:`PoolTrialExecutor` for the duration of the run (and restored
+    afterwards). Master/worker messages, simulated time and the
+    resulting :class:`StudyReport` are identical to :func:`run_study`
+    for a fixed seed; only real wall-clock shrinks.
+
+    Pass an already-started :class:`TrialPool` via ``pool=`` to reuse its
+    workers (and their cached trainers) across consecutive studies;
+    otherwise a pool of ``processes`` workers (default: one per study
+    worker, capped by the CPU count) lives for this study only. Workers
+    whose backend already is a :class:`PoolTrialExecutor` keep it.
+    """
+    if not workers:
+        raise ConfigurationError("run_study_parallel needs at least one worker")
+    if pool is not None and not isinstance(pool, TrialPool):
+        raise ConfigurationError(f"pool must be a TrialPool, got {type(pool).__name__}")
+    base_backends = [worker.backend for worker in workers]
+    executor = base_backends[0]
+    if not isinstance(executor, PoolTrialExecutor):
+        if processes is None:
+            processes = max(1, min(len(workers), os.cpu_count() or 1))
+        executor = PoolTrialExecutor(
+            executor,
+            conf=workers[0].conf,
+            pool=pool,
+            processes=processes,
+            local_early_stop=master.workers_early_stop_locally,
+        )
+    for worker in workers:
+        worker.backend = executor
+    try:
+        with executor:
+            return run_study(master, workers, sim=sim, max_events=max_events)
+    finally:
+        for worker, backend in zip(workers, base_backends):
+            worker.backend = backend

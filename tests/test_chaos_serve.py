@@ -2,13 +2,10 @@
 
 Covers the graceful-degradation paths: the ensemble drops (and
 re-admits) a flapping replica behind its circuit breaker, the batcher
-resubmits requests from failed dispatches, parameter-server pushes ride
-out injected drops under a retry policy, and the parallel trial
-executor resubmits trials whose child process crashed.
+resubmits requests from failed dispatches, and parameter-server pushes
+ride out injected drops under a retry policy.  Trial-pool crash recovery
+lives in ``test_pool.py``.
 """
-
-import queue
-from collections import deque
 
 import numpy as np
 import pytest
@@ -22,7 +19,6 @@ from repro.core.serve import (
     SineArrival,
 )
 from repro.core.system import InferenceJobInfo, ModelSpec, Rafiki
-from repro.core.tune import HyperConf, ParallelTrialExecutor, RealTrainer
 from repro.exceptions import (
     DroppedResponse,
     InjectedFault,
@@ -32,7 +28,6 @@ from repro.exceptions import (
 from repro.paramserver import ParameterServer
 from repro.utils.retry import CircuitBreaker, RetryPolicy
 from repro.zoo import get_profile
-from repro.zoo.builders import build_mlp
 
 pytestmark = pytest.mark.chaos
 
@@ -255,65 +250,3 @@ class TestParamServerRetries:
             fetched = ps.get("k")
         assert np.array_equal(fetched["w"], np.arange(6.0).reshape(2, 3))
         assert plan.invocations("paramserver.pull") == 3
-
-
-class _Job:
-    """Sentinel job tuple stand-in for resubmission tests."""
-
-
-class TestParallelExecutorCrashHandling:
-    def make_executor(self, tiny_dataset, retries=2):
-        trainer = RealTrainer(tiny_dataset, build_mlp, batch_size=16,
-                              use_augmentation=False, seed=11)
-        executor = ParallelTrialExecutor(
-            trainer, conf=HyperConf(max_trials=2, max_epochs_per_trial=2),
-            processes=1, trial_retries=retries,
-        )
-        # no children: drive the demultiplexer with hand-fed queues
-        executor._task_queue = queue.Queue()
-        executor._result_queue = queue.Queue()
-        return executor
-
-    def test_crash_resubmits_and_discards_replayed_epochs(self, tiny_dataset):
-        executor = self.make_executor(tiny_dataset)
-        job = _Job()
-        executor._inflight[7] = job
-        # 3 epochs streamed, 1 still buffered => parent consumed 2
-        executor._epoch_records[7] = deque([(0.5, None)])
-        executor._streamed[7] = 3
-        executor._result_queue.put(("error", 7, "SimulatedCrash()"))
-        executor._pump()
-        assert executor._task_queue.get_nowait() is job
-        assert executor._skip[7] == 2
-        assert len(executor._epoch_records[7]) == 0
-        counter = telemetry.get_registry().counter(
-            "repro_tune_parallel_trial_errors_total"
-        )
-        assert counter.value(outcome="resubmitted") == 1
-        # the deterministic re-run replays the two consumed epochs
-        # (discarded) before fresh ones reach the buffer again
-        for accuracy in (0.1, 0.2, 0.3):
-            executor._result_queue.put(("epoch", 7, accuracy, None))
-            executor._pump()
-        assert list(executor._epoch_records[7]) == [(0.3, None)]
-        assert executor._streamed[7] == 1
-
-    def test_repeated_crashes_exhaust_retries(self, tiny_dataset):
-        executor = self.make_executor(tiny_dataset, retries=1)
-        executor._inflight[3] = _Job()
-        executor._result_queue.put(("error", 3, "boom"))
-        executor._pump()  # first crash: resubmitted
-        executor._result_queue.put(("error", 3, "boom"))
-        with pytest.raises(RuntimeError, match="trial 3 failed"):
-            executor._pump()
-        counter = telemetry.get_registry().counter(
-            "repro_tune_parallel_trial_errors_total"
-        )
-        assert counter.value(outcome="resubmitted") == 1
-        assert counter.value(outcome="raised") == 1
-
-    def test_crash_of_unknown_trial_raises_immediately(self, tiny_dataset):
-        executor = self.make_executor(tiny_dataset)
-        executor._result_queue.put(("error", 99, "boom"))
-        with pytest.raises(RuntimeError, match="trial 99 failed"):
-            executor._pump()

@@ -46,6 +46,26 @@ class TestCommands:
         ]) == 0
         assert "CoStudy with bayesian" in capsys.readouterr().out
 
+    def test_tune_real_on_process_pool(self, capsys):
+        assert main([
+            "tune", "--real", "--trials", "4", "--workers", "2", "--processes", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Study with random search: 4 trials" in out
+        assert "best accuracy" in out
+
+    def test_tune_real_pool_reuse_is_bit_identical(self, capsys):
+        assert main([
+            "tune", "--real", "--trials", "4", "--workers", "2", "--pool-reuse",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "warm study on reused pool" in out
+        assert "bit-identical across pool reuse: True" in out
+
+    def test_tune_processes_require_real(self, capsys):
+        assert main(["tune", "--processes", "2"]) == 2
+        assert "require --real" in capsys.readouterr().err
+
     def test_demo(self, capsys):
         assert main(["demo", "--classes", "2", "--trials", "2"]) == 0
         assert "test accuracy" in capsys.readouterr().out

@@ -16,7 +16,7 @@ import repro.core.tune.trial as trial_module
 from repro.core.tune import (
     CoStudyMaster,
     HyperConf,
-    ParallelTrialExecutor,
+    PoolTrialExecutor,
     RandomSearchAdvisor,
     RealTrainer,
     StudyMaster,
@@ -69,16 +69,13 @@ def report_fingerprint(report):
 
 
 class TestRunStudyParallel:
-    @pytest.mark.parametrize("exec_backend", ["legacy", "pool"])
     @pytest.mark.parametrize("collaborative", [False, True])
-    def test_matches_sequential_report(self, tiny_dataset, collaborative, exec_backend):
+    def test_matches_sequential_report(self, tiny_dataset, collaborative):
         master_a, workers_a = make_study(tiny_dataset, collaborative)
         sequential = run_study(master_a, workers_a)
 
         master_b, workers_b = make_study(tiny_dataset, collaborative)
-        parallel = run_study_parallel(
-            master_b, workers_b, processes=2, backend=exec_backend
-        )
+        parallel = run_study_parallel(master_b, workers_b, processes=2)
 
         assert parallel.best_performance == sequential.best_performance
         assert parallel.total_epochs == sequential.total_epochs
@@ -91,17 +88,14 @@ class TestRunStudyParallel:
         run_study_parallel(master, workers, processes=1)
         assert [w.backend for w in workers] == original
 
-    @pytest.mark.parametrize("exec_backend", ["legacy", "pool"])
-    def test_best_state_matches_sequential(self, tiny_dataset, exec_backend):
+    def test_best_state_matches_sequential(self, tiny_dataset):
         """The kPut'd winner parameters agree with the sequential run."""
         master_a, workers_a = make_study(tiny_dataset, collaborative=False)
         run_study(master_a, workers_a)
         state_a = master_a.param_server.get(master_a.best_key)
 
         master_b, workers_b = make_study(tiny_dataset, collaborative=False)
-        run_study_parallel(
-            master_b, workers_b, processes=2, backend=exec_backend
-        )
+        run_study_parallel(master_b, workers_b, processes=2)
         state_b = master_b.param_server.get(master_b.best_key)
 
         assert sorted(state_a) == sorted(state_b)
@@ -112,14 +106,38 @@ class TestRunStudyParallel:
         with pytest.raises(ConfigurationError):
             run_study_parallel(None, [])
 
+    @pytest.mark.parametrize("collaborative", [False, True])
+    def test_owned_pool_executor_survives_consecutive_studies(
+        self, tiny_dataset, collaborative
+    ):
+        """Workers backed by one executor that owns its pool: the pool
+        shuts down after each study, taking its shared dataset with it,
+        and the second study must not name the freed segments."""
+        master, workers = make_study(tiny_dataset, collaborative)
+        sequential = report_fingerprint(run_study(master, workers))
 
-class TestParallelTrialExecutor:
+        master, workers = make_study(tiny_dataset, collaborative)
+        executor = PoolTrialExecutor(
+            workers[0].backend, workers[0].conf, processes=1,
+            local_early_stop=master.workers_early_stop_locally,
+        )
+        reports = []
+        for _ in range(2):
+            master, workers = make_study(tiny_dataset, collaborative)
+            for worker in workers:
+                worker.backend = executor
+            reports.append(report_fingerprint(run_study_parallel(master, workers)))
+        assert reports == [sequential, sequential]
+        assert not executor.pool.running
+
+
+class TestPoolTrialExecutor:
     def test_session_protocol(self, tiny_dataset):
         conf = HyperConf(max_trials=1, max_epochs_per_trial=2)
         trainer = RealTrainer(
             tiny_dataset, build_mlp, batch_size=16, use_augmentation=False, seed=5
         )
-        with ParallelTrialExecutor(trainer, conf, processes=1) as executor:
+        with PoolTrialExecutor(trainer, conf, processes=1) as executor:
             trial = Trial(params={"lr": 0.05})
             session = executor.start(trial, None)
             first = session.run_epoch()
@@ -139,10 +157,11 @@ class TestParallelTrialExecutor:
         trainer = RealTrainer(
             tiny_dataset, build_mlp, seconds_per_epoch=12.5, use_augmentation=False
         )
-        executor = ParallelTrialExecutor(trainer, conf, processes=1)
+        executor = PoolTrialExecutor(trainer, conf, processes=1)
         assert executor.epoch_cost(Trial(params={})) == 12.5
         executor.shutdown()  # never started: must be a no-op
+        assert not executor.pool.running
 
     def test_rejects_non_real_trainer(self):
         with pytest.raises(ConfigurationError):
-            ParallelTrialExecutor(object(), HyperConf(max_trials=1))
+            PoolTrialExecutor(object(), HyperConf(max_trials=1))

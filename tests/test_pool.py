@@ -1,9 +1,8 @@
 """Persistent trial pool: lifecycle, crash recovery, shm hygiene.
 
 The determinism contract (pool report == sequential report, bit for
-bit) is covered in ``test_parallel_study.py`` for both parallel
-backends; this module exercises what is new in the pool subsystem —
-reuse across studies, worker-crash resubmission without duplicate
+bit) is covered in ``test_parallel_study.py``; this module exercises
+the pool's own machinery — reuse across studies, worker-crash resubmission without duplicate
 epochs, dead-worker replacement, and shared-memory segment cleanup on
 every exit path.
 """
@@ -160,11 +159,6 @@ class TestPoolLifecycle:
         pool.shutdown()
         assert not pool.running
 
-    def test_invalid_backend_rejected(self, tiny_dataset):
-        master, workers = make_study(tiny_dataset, max_trials=2)
-        with pytest.raises(ConfigurationError):
-            run_study_parallel(master, workers, processes=1, backend="threads")
-
     def test_executor_requires_real_trainer(self):
         with pytest.raises(ConfigurationError):
             PoolTrialExecutor(object(), HyperConf())
@@ -238,7 +232,7 @@ class TestCrashRecovery:
             seed=0,
         )
         master, workers = make_study(tiny_dataset, max_epochs=5)
-        with chaos.active(plan), TrialPool(processes=1, epoch_batch=1) as pool:
+        with chaos.active(plan), TrialPool(processes=1) as pool:
             report = run_study_parallel(master, workers, pool=pool)
 
         assert report_fingerprint(report) == sequential
