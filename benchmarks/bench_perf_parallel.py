@@ -29,7 +29,6 @@ also fail when the warm pool study is slower than sequential.
 """
 
 import argparse
-import itertools
 import os
 import sys
 import time
@@ -41,8 +40,8 @@ if __name__ == "__main__":  # standalone: make repro + _harness importable
 
 import numpy as np
 
-import repro.core.tune.trial as trial_module
 from repro import telemetry
+from repro.chaos.scenarios import reset_id_counters
 from repro.core.tune import (
     HyperConf,
     HyperSpace,
@@ -73,7 +72,7 @@ def make_dataset(train_per_class: int = 32):
 
 
 def make_study(dataset, trials: int = TRIALS, max_epochs: int = 3):
-    trial_module._trial_ids = itertools.count(1)  # identical ids per run
+    reset_id_counters()  # identical ids per run
     space = HyperSpace()
     space.add_range_knob("lr", "float", 0.01, 0.3, log_scale=True)
     space.add_range_knob("momentum", "float", 0.0, 0.9)

@@ -41,6 +41,7 @@ if __name__ == "__main__":  # standalone: make repro + _harness importable
 
 import json
 
+from repro.chaos.scenarios import same_seed
 from repro.core.serve import (
     FrontendConfig,
     LoadGenConfig,
@@ -66,6 +67,10 @@ SEED = 11
 #: acceptance checks gate on, not the nominal multiple.
 FULL_MULTIPLES = (0.6, 1.2, 1.8, 2.4, 3.0)
 SMOKE_MULTIPLES = (0.8, 1.8, 3.0)
+SUMMARY_KEYS = (
+    "offered", "served", "shed", "shed_by_reason", "offered_qps",
+    "sustained_qps", "p50_s", "p95_s", "p99_s", "slo_miss_rate", "shed_rate",
+)
 
 
 def run_level(mode: str, duration: float, seed: int, *, target_rate: float = 0.0,
@@ -82,6 +87,18 @@ def run_level(mode: str, duration: float, seed: int, *, target_rate: float = 0.0
     )
     trace = run_load(frontend, pool, load)
     return trace.summary(), trace.fingerprint()
+
+
+def measure(mode: str, duration: float, **load) -> dict:
+    """One load level, run twice with ``SEED``: summary + rerun gate."""
+    (summary, fingerprint), identical = same_seed(
+        lambda: run_level(mode, duration, SEED, **load), key=lambda run: run[1]
+    )
+    return {
+        "fingerprint": fingerprint,
+        "rerun_identical": identical,
+        **{k: summary[k] for k in SUMMARY_KEYS},
+    }
 
 
 def run_matrix(multiples=FULL_MULTIPLES, duration: float = 30.0,
@@ -103,42 +120,23 @@ def run_matrix(multiples=FULL_MULTIPLES, duration: float = 30.0,
     }
     for multiple in multiples:
         rate = multiple * capacity
-        summary, fingerprint = run_level("open", duration, SEED, target_rate=rate)
-        _, again = run_level("open", duration, SEED, target_rate=rate)
+        measured = measure("open", duration, target_rate=rate)
         level = {
             "mode": "open",
             "capacity_multiple": multiple,
             "target_qps": rate,
-            "offered_capacity_ratio": summary["offered_qps"] / capacity,
+            "offered_capacity_ratio": measured["offered_qps"] / capacity,
             # Equations 8/9: the sine's peak is 1.1x its nominal target.
             "peak_capacity_ratio": 1.1 * multiple,
-            "fingerprint": fingerprint,
-            "rerun_identical": fingerprint == again,
-            **{k: summary[k] for k in (
-                "offered", "served", "shed", "shed_by_reason", "offered_qps",
-                "sustained_qps", "p50_s", "p95_s", "p99_s", "slo_miss_rate",
-                "shed_rate",
-            )},
+            **measured,
         }
         payload["levels"].append(level)
         payload["deterministic"] &= level["rerun_identical"]
-    summary, fingerprint = run_level(
-        "closed", duration, SEED, clients=closed_clients, think_time=0.05
-    )
-    _, again = run_level(
-        "closed", duration, SEED, clients=closed_clients, think_time=0.05
-    )
     payload["closed_loop"] = {
         "mode": "closed",
         "clients": closed_clients,
         "think_time_s": 0.05,
-        "fingerprint": fingerprint,
-        "rerun_identical": fingerprint == again,
-        **{k: summary[k] for k in (
-            "offered", "served", "shed", "shed_by_reason", "offered_qps",
-            "sustained_qps", "p50_s", "p95_s", "p99_s", "slo_miss_rate",
-            "shed_rate",
-        )},
+        **measure("closed", duration, clients=closed_clients, think_time=0.05),
     }
     payload["deterministic"] &= payload["closed_loop"]["rerun_identical"]
     payload["bench_wall_s"] = time.perf_counter() - started

@@ -43,6 +43,7 @@ sys.path.insert(0, os.path.join(_ROOT, "src"))
 import numpy as np  # noqa: E402
 
 from _harness import emit  # noqa: E402
+from repro.chaos.scenarios import same_seed  # noqa: E402
 from repro.data.blockstore import BlockStore  # noqa: E402
 from repro.data.fs import FileNamespace  # noqa: E402
 from repro.paramserver import ShardedParameterServer  # noqa: E402
@@ -149,14 +150,11 @@ def bench_kill(files: int, file_bytes: int, seed: int) -> dict:
         audit = store.audit()
         return audit, {"lost_bytes": lost_bytes, "audit": audit}
 
-    first_audit, first = run_once()
-    second_audit, _ = run_once()
+    (first_audit, first), identical = same_seed(run_once, key=lambda run: run[0])
     assert first["lost_bytes"] == 0, f"{first['lost_bytes']} bytes lost"
     assert first_audit["lost"] == [], first_audit
     assert first_audit["under_replicated"] == [], first_audit
-    assert json.dumps(first_audit, sort_keys=True) == json.dumps(
-        second_audit, sort_keys=True
-    ), "recovery audit differs across same-seed runs"
+    assert identical, "recovery audit differs across same-seed runs"
     return {
         "files": files,
         "file_bytes": file_bytes,

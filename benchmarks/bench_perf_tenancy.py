@@ -45,6 +45,7 @@ if __name__ == "__main__":  # standalone: make repro + _harness importable
 
 import json
 
+from repro.chaos.scenarios import same_seed
 from repro.core.serve import (
     FrontendConfig,
     LoadGenConfig,
@@ -127,12 +128,13 @@ def run_matrix(duration: float = 30.0) -> dict:
         "deterministic": True,
     }
     for name, isolated in (("unprotected", False), ("isolated", True)):
-        a_summary, b_summary, fingerprint = run_pair(isolated, duration, SEED)
-        _, _, again = run_pair(isolated, duration, SEED)
+        (a_summary, b_summary, fingerprint), identical = same_seed(
+            lambda: run_pair(isolated, duration, SEED), key=lambda run: run[2]
+        )
         run = {
             "isolated": isolated,
             "fingerprint": fingerprint,
-            "rerun_identical": fingerprint == again,
+            "rerun_identical": identical,
             "tenant_a": {k: a_summary[k] for k in SUMMARY_KEYS},
             "tenant_b": {k: b_summary[k] for k in SUMMARY_KEYS},
         }

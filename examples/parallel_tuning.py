@@ -56,13 +56,12 @@ dataset = make_image_classification(
 )
 
 # Sequential and parallel runs must hand out identical trial ids for a
-# bit-for-bit comparison; rewind the global counter between them.
-import repro.core.tune.trial as trial_module
-import itertools
+# bit-for-bit comparison; rewind the global id counters between them.
+from repro.chaos.scenarios import reset_id_counters
 
 results = {}
 for mode in ("sequential", "parallel"):
-    trial_module._trial_ids = itertools.count(1)
+    reset_id_counters()
     master, workers = make_study(dataset)
     start = time.perf_counter()
     if mode == "parallel":

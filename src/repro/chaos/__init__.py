@@ -16,9 +16,12 @@ machinery that *proves* it:
   :class:`~repro.utils.retry.CircuitBreaker`, the policies the
   instrumented subsystems recover with.
 
-End-to-end seeded scenarios live in :mod:`repro.chaos.scenarios`
-(imported explicitly by the CLI and tests — not here, to keep this
-package import-light).
+End-to-end seeded scenarios live in :mod:`repro.chaos.scenarios`:
+one ``SCENARIOS`` registry (``chaos``, ``shard-kill``, ``store-kill``,
+``tenant-isolation``), one ``run_scenario`` runner, the ``same_seed``
+rerun gate and ``reset_id_counters``; ``repro scenario <name>`` runs
+them. The module is imported explicitly — not here, to keep this
+package import-light.
 
 Fault-point names currently wired in:
 

@@ -11,9 +11,6 @@ Commands:
 * ``sql`` — the Section 8 case study in miniature;
 * ``telemetry`` — exercise every subsystem briefly and print the
   unified metrics snapshot (JSON or Prometheus text exposition);
-* ``chaos`` — run the seeded fault-injection scenario across tune,
-  serve, the parameter server and the gateway, and report the recovery
-  trace (``--verify`` re-runs it and asserts the trace is identical);
 * ``serve`` — drive the serving path under load: with ``--frontend``,
   the admission-controlled front end + open/closed-loop load harness
   (docs/SERVING.md); without it, the classic greedy serving
@@ -21,13 +18,12 @@ Commands:
 * ``store`` — exercise the chunked, content-addressable, replicated
   block store: write near-duplicate checkpoint versions and report the
   dedup/replication audit (``--kill`` adds a datanode kill + repair +
-  rejoin reconciliation; ``--scenario`` runs the seeded mid-write/
-  mid-read store-kill chaos scenario, ``--verify`` asserting the trace
-  is bit-identical across two same-seed runs);
-* ``tenants`` — run the seeded tenant-isolation scenario: a noisy
-  tenant floods and crash-loops while a quiet tenant's jobs keep
-  placing and its served p99 stays within 2x the SLO (``--verify``
-  asserts the trace is bit-identical across two same-seed runs).
+  rejoin reconciliation);
+* ``scenario <name>`` — run one seeded chaos scenario from
+  :data:`repro.chaos.scenarios.SCENARIOS` (``chaos``, ``shard-kill``,
+  ``store-kill``, ``tenant-isolation``), check its invariants (exit 1
+  naming any that is violated) and report the recovery trace
+  (``--verify`` re-runs it and requires an identical trace).
 """
 
 from __future__ import annotations
@@ -103,27 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="include recorded tracing spans (JSON format only)")
     tele.add_argument("--seed", type=int, default=0)
 
-    chaos_cmd = sub.add_parser(
-        "chaos",
-        help="run the seeded chaos scenario and print the recovery trace",
-    )
-    chaos_cmd.add_argument("--seed", type=int, default=0)
-    chaos_cmd.add_argument("--json", action="store_true",
-                           help="print the full result (trace included) as JSON")
-    chaos_cmd.add_argument("--verify", action="store_true",
-                           help="run the scenario twice and require identical traces")
-
-    tenants_cmd = sub.add_parser(
-        "tenants",
-        help="run the seeded tenant-isolation scenario and print the verdict",
-    )
-    tenants_cmd.add_argument("--seed", type=int, default=0)
-    tenants_cmd.add_argument("--json", action="store_true",
-                             help="print the full result (trace included) as JSON")
-    tenants_cmd.add_argument("--verify", action="store_true",
-                             help="run the scenario twice and require identical "
-                                  "traces")
-
     serve_cmd = sub.add_parser(
         "serve", help="drive the serving path under generated load"
     )
@@ -173,15 +148,25 @@ def build_parser() -> argparse.ArgumentParser:
     store_cmd.add_argument("--kill", action="store_true",
                            help="kill a datanode after writing, then repair "
                                 "and reconcile its rejoin")
-    store_cmd.add_argument("--scenario", action="store_true",
-                           help="run the seeded store-kill chaos scenario "
-                                "(mid-write + mid-read datanode kills) instead")
-    store_cmd.add_argument("--verify", action="store_true",
-                           help="with --scenario: run twice and require "
-                                "identical recovery traces")
     store_cmd.add_argument("--seed", type=int, default=0)
     store_cmd.add_argument("--json", action="store_true",
                            help="print the full result as JSON")
+
+    from repro.chaos.scenarios import SCENARIOS
+
+    scenario_cmd = sub.add_parser(
+        "scenario",
+        help="run a seeded chaos scenario, check its invariants and print "
+             "the recovery trace",
+    )
+    scenario_cmd.add_argument("name", choices=list(SCENARIOS))
+    scenario_cmd.add_argument("--seed", type=int, default=0)
+    scenario_cmd.add_argument("--verify", action="store_true",
+                              help="run the scenario twice and require "
+                                   "identical traces")
+    scenario_cmd.add_argument("--json", action="store_true",
+                              help="print the full result (trace included) "
+                                   "as JSON")
     return parser
 
 
@@ -267,10 +252,9 @@ def _cmd_tune(args) -> int:
         return master, workers
 
     if args.pool_reuse:
-        import itertools
         import time
 
-        import repro.core.tune.trial as trial_module
+        from repro.chaos.scenarios import reset_id_counters
         from repro.core.tune import TrialPool
 
         walls = []
@@ -278,7 +262,7 @@ def _cmd_tune(args) -> int:
         with TrialPool(processes=args.processes) as pool:
             for label in ("cold", "warm"):
                 # rewind trial ids so both studies are comparable
-                trial_module._trial_ids = itertools.count(1)
+                reset_id_counters()
                 master, workers = build_study()
                 started = time.perf_counter()
                 report = run_study_parallel(master, workers, pool=pool)
@@ -455,119 +439,47 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    """Run the seeded chaos scenario and summarise the recovery trace."""
+def _cmd_scenario(args) -> int:
+    """Run one registered scenario, check its invariants, print the trace."""
     import json
 
-    from repro.chaos.scenarios import run_chaos_scenario
+    from repro.chaos.scenarios import SCENARIOS, run_scenario, same_seed
 
-    out = run_chaos_scenario(seed=args.seed)
+    scenario = SCENARIOS[args.name]
+
+    def run():
+        return run_scenario(args.name, seed=args.seed)
+
     if args.verify:
-        again = run_chaos_scenario(seed=args.seed)
-        if again["trace"] != out["trace"]:
-            print("FAIL: recovery traces differ across same-seed runs",
-                  file=sys.stderr)
+        out, identical = same_seed(run, key=lambda out: out["trace"])
+        if not identical:
+            print(f"FAIL: {args.name} recovery traces differ across same-seed "
+                  "runs", file=sys.stderr)
             return 1
+    else:
+        out = run()
+    violated = scenario.check(out)
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
-        return 0
-    tune, serve, facade = (out["results"][k] for k in ("tune", "serve", "facade"))
-    print(f"chaos scenario (seed {out['seed']}): "
-          f"{out['faults_injected']} faults injected")
-    print(f"  kinds:  {', '.join(out['kinds_hit'])}")
-    print(f"  points: {', '.join(out['points_hit'])}")
-    print(f"tune:   {tune['trials']} trials, best {tune['best_performance']:.4f} "
-          f"(trial {tune['best_trial_id']}), {tune['recoveries']} container "
-          f"recoveries, {tune['wall_time'] / 3600:.1f} simulated hours")
-    print(f"serve:  {serve['served']} served, {serve['requeued']} re-queued after "
-          f"failed dispatch, {serve['dropped']} dropped, "
-          f"SLO fraction {serve['slo_fraction']:.3f}")
-    print(f"facade: statuses {facade['statuses']}; replicas live "
-          f"{facade['live_during_outage']} during outage, "
-          f"{facade['live_after_recovery']} after recovery "
-          f"(breaker {facade['breaker_state']})")
-    if args.verify:
-        print("verify: recovery trace identical across two same-seed runs")
-    return 0
-
-
-def _cmd_tenants(args) -> int:
-    """Run the tenant-isolation scenario and print the isolation verdict."""
-    import json
-
-    from repro.chaos.scenarios import run_tenant_isolation_scenario
-
-    out = run_tenant_isolation_scenario(seed=args.seed)
-    if args.verify:
-        again = run_tenant_isolation_scenario(seed=args.seed)
-        if again["trace"] != out["trace"]:
-            print("FAIL: tenant-isolation traces differ across same-seed runs",
-                  file=sys.stderr)
-            return 1
-    if args.json:
-        print(json.dumps(out, indent=2, sort_keys=True))
-        return 0
-    cluster = out["results"]["cluster"]
-    isolation = out["results"]["isolation"]
-    serve_a = out["results"]["serve"]["tenant-a"]
-    serve_b = out["results"]["serve"]["tenant-b"]
-    ok = isolation["zero_b_sheds"] and isolation["b_p99_within_2tau"]
-    print(f"tenant isolation (seed {out['seed']}): "
-          f"{out['faults_injected']} admission faults aimed at tenant-a")
-    print(f"cluster: flood {cluster['flood_states']}; "
-          f"{cluster['crash_cycles']} crash cycles on {cluster['crash_host']}; "
-          f"B survived: {cluster['b1_survived_crash_loop']}; "
-          f"fair drain winner: {cluster['fair_share_winner']}")
-    print(f"serve:   A offered {serve_a['offered']} "
-          f"(shed rate {serve_a['shed_rate']:.2f}); "
-          f"B offered {serve_b['offered']}, shed {serve_b['shed']}, "
-          f"p99 {serve_b['p99_s'] * 1000:.0f}ms vs 2*tau "
-          f"{2 * isolation['tau'] * 1000:.0f}ms")
-    print(f"verdict: {'ISOLATED' if ok else 'VIOLATED'}")
-    if args.verify:
-        print("verify: trace identical across two same-seed runs")
-    return 0 if ok else 1
+    else:
+        print(f"{args.name} scenario (seed {out['seed']}): "
+              f"{out['faults_injected']} faults injected")
+        print(f"  kinds:  {', '.join(out['kinds_hit'])}")
+        print(f"  points: {', '.join(out['points_hit'])}")
+        for key, value in sorted(out["results"].items()):
+            print(f"{key}: {json.dumps(value, sort_keys=True)}")
+        for name in scenario.invariants:
+            print(f"invariant {'VIOLATED' if name in violated else 'ok'}: {name}")
+        if args.verify:
+            print("verify: recovery trace identical across two same-seed runs")
+    for name in violated:
+        print(f"FAIL: {args.name} invariant violated: {name}", file=sys.stderr)
+    return 1 if violated else 0
 
 
 def _cmd_store(args) -> int:
     """Exercise the chunked block store: dedup, kill/repair, audit."""
     import json
-
-    if args.scenario:
-        from repro.chaos.scenarios import run_store_kill_scenario
-
-        out = run_store_kill_scenario(
-            seed=args.seed, datanodes=args.nodes, replicas=args.replicas
-        )
-        if args.verify:
-            again = run_store_kill_scenario(
-                seed=args.seed, datanodes=args.nodes, replicas=args.replicas
-            )
-            if again["trace"] != out["trace"]:
-                print("FAIL: recovery traces differ across same-seed runs",
-                      file=sys.stderr)
-                return 1
-        if args.json:
-            print(json.dumps(out, indent=2, sort_keys=True))
-            return 0
-        audit, results = out["audit"], out["results"]
-        print(f"store-kill scenario (seed {out['seed']}): "
-              f"{out['faults_injected']} faults injected")
-        print(f"  mid-write kill: datanode {out['victims']['mid_write']['datanode']} "
-              f"on {out['victims']['mid_write']['node']} "
-              f"(version intact: {results['mid_write_intact']})")
-        print(f"  mid-read kill:  datanode {out['victims']['mid_read']['datanode']} "
-              f"on {out['victims']['mid_read']['node']} "
-              f"(read intact: {results['mid_read_intact']})")
-        print(f"  repair: {results['repaired_after_write']} copies after the "
-              f"write kill, {results['repaired_final']} after recovery; "
-              f"{audit['trash_reconciled']} stale chunks reconciled on rejoin")
-        print(f"  audit: {audit['chunks']} chunks, lost {audit['lost']}, "
-              f"under-replicated {audit['under_replicated']}, "
-              f"corrupt files {out['corrupt']}")
-        if args.verify:
-            print("verify: recovery trace identical across two same-seed runs")
-        return 1 if (out["corrupt"] or audit["lost"]) else 0
 
     from repro.data import BlockStore, FileNamespace
 
@@ -719,10 +631,9 @@ _COMMANDS = {
     "demo": _cmd_demo,
     "sql": _cmd_sql,
     "telemetry": _cmd_telemetry,
-    "chaos": _cmd_chaos,
     "serve": _cmd_serve,
     "store": _cmd_store,
-    "tenants": _cmd_tenants,
+    "scenario": _cmd_scenario,
 }
 
 

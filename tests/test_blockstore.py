@@ -9,7 +9,6 @@ multiple±1) must survive write/read/overwrite/delete bit-identically
 at every replication factor.
 """
 
-import json
 import random
 
 import numpy as np
@@ -459,9 +458,9 @@ class TestClusterIntegration:
 @pytest.mark.chaos
 class TestStoreKillScenario:
     def test_store_kill_loses_zero_bytes(self):
-        from repro.chaos.scenarios import run_store_kill_scenario
+        from repro.chaos.scenarios import run_scenario
 
-        result = run_store_kill_scenario(seed=0)
+        result = run_scenario("store-kill", seed=0)
         assert result["victims"]["mid_write"]["deaths"] >= 1
         assert result["victims"]["mid_read"]["deaths"] >= 1
         assert result["results"]["mid_write_intact"]
@@ -472,24 +471,6 @@ class TestStoreKillScenario:
         assert audit["under_replicated"] == []
         assert audit["trash_reconciled"] > 0
         assert audit["rereplications"] > 0
-
-    def test_same_seed_traces_bit_identical(self):
-        from repro.chaos.scenarios import run_store_kill_scenario
-
-        first = run_store_kill_scenario(seed=0)
-        second = run_store_kill_scenario(seed=0)
-        assert json.dumps(first["trace"], sort_keys=True) == json.dumps(
-            second["trace"], sort_keys=True
-        )
-
-    def test_different_seed_traces_differ(self):
-        from repro.chaos.scenarios import run_store_kill_scenario
-
-        first = run_store_kill_scenario(seed=0)
-        other = run_store_kill_scenario(seed=3)
-        assert json.dumps(first["trace"], sort_keys=True) != json.dumps(
-            other["trace"], sort_keys=True
-        )
 
 
 class TestShardedPSOnBlockStore:

@@ -1,10 +1,11 @@
 """The headline chaos acceptance tests: seeded end-to-end scenarios.
 
-One scenario run injects exceptions, drops and latency across tuning,
-the parameter server, serving and the gateway; the systems must recover
-(right answers, no lost work) AND the recovery trace — the fault log
-plus every retry/circuit/recovery counter — must be bit-identical
-across two runs with the same seed.
+The ``chaos`` scenario injects exceptions, drops and latency across
+tuning, the parameter server, serving and the gateway; the systems must
+recover (right answers, no lost work). For every registered scenario
+the recovery trace — the fault log plus every retry/circuit/recovery
+counter — must be bit-identical across two runs with the same seed, and
+``repro scenario`` must enforce the scenario's invariants.
 """
 
 import json
@@ -12,9 +13,11 @@ import json
 import pytest
 
 from repro.chaos.scenarios import (
+    SCENARIOS,
     TRACE_METRIC_PREFIXES,
     build_default_plan,
-    run_chaos_scenario,
+    run_scenario,
+    same_seed,
 )
 from repro.cli import main
 
@@ -27,7 +30,7 @@ _SEED0_RUNS = {}
 def scenario(seed=0, run=0):
     key = (seed, run)
     if key not in _SEED0_RUNS:
-        _SEED0_RUNS[key] = run_chaos_scenario(seed=seed)
+        _SEED0_RUNS[key] = run_scenario("chaos", seed=seed)
     return _SEED0_RUNS[key]
 
 
@@ -79,14 +82,19 @@ class TestScenarioCoverage:
 
 
 class TestScenarioDeterminism:
-    def test_same_seed_traces_are_identical(self):
-        first, second = scenario(0, run=0), scenario(0, run=1)
-        assert first["trace"]["faults"] == second["trace"]["faults"]
-        assert first["trace"]["counters"] == second["trace"]["counters"]
-        assert first["results"] == second["results"]
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_same_seed_traces_are_identical(self, name):
+        # the whole output, not only the trace: results replay too
+        _, identical = same_seed(lambda: run_scenario(name, seed=0), key=lambda out: out)
+        assert identical
 
-    def test_different_seed_traces_differ(self):
-        assert scenario(0)["trace"] != scenario(7)["trace"]
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_different_seed_traces_differ(self, name):
+        first, other = (
+            json.dumps(run_scenario(name, seed=seed)["trace"], sort_keys=True)
+            for seed in (0, 3)
+        )
+        assert first != other
 
     def test_trace_is_json_serialisable(self):
         out = scenario()
@@ -105,18 +113,41 @@ class TestDefaultPlan:
 
 class TestCliSmoke:
     def test_chaos_command_runs(self, capsys):
-        assert main(["chaos", "--seed", "0"]) == 0
+        assert main(["scenario", "chaos", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "faults injected" in out
         assert "tune:" in out and "serve:" in out and "facade:" in out
 
     def test_chaos_command_verify_passes(self, capsys):
-        assert main(["chaos", "--seed", "0", "--verify"]) == 0
+        assert main(["scenario", "chaos", "--seed", "0", "--verify"]) == 0
         assert "identical across two same-seed runs" in capsys.readouterr().out
 
     def test_chaos_command_json_output(self, capsys):
-        assert main(["chaos", "--seed", "0", "--json"]) == 0
+        assert main(["scenario", "chaos", "--seed", "0", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["seed"] == 0
         assert out["faults_injected"] >= 3
         assert set(out["results"]) == {"tune", "serve", "facade"}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+class TestScenarioCli:
+    def test_run_exits_zero(self, name, capsys):
+        assert main(["scenario", name, "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert f"{name} scenario (seed 0)" in out
+        assert "VIOLATED" not in out
+
+    def test_verify_json_carries_trace(self, name, capsys):
+        assert main(["scenario", name, "--seed", "0", "--verify", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["scenario"] == name
+        assert {"faults", "counters"} <= set(out["trace"])
+
+    def test_violated_invariant_exits_one(self, name, capsys, monkeypatch):
+        invariant = next(iter(SCENARIOS[name].invariants))
+        monkeypatch.setitem(SCENARIOS[name].invariants, invariant, lambda out: False)
+        assert main(["scenario", name, "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert f"invariant VIOLATED: {invariant}" in captured.out
+        assert f"invariant violated: {invariant}" in captured.err

@@ -6,13 +6,10 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
-import repro.core.tune.trial as trial_module
-
+from repro.chaos.scenarios import reset_id_counters
 from repro.core.tune import (
     CoStudyMaster,
     HyperConf,
@@ -41,7 +38,7 @@ def tiny_space() -> HyperSpace:
 def make_study(tiny_dataset, collaborative: bool, seed: int = 3):
     # trial_id feeds each session's derived rng; rewind the global
     # counter so both runs under comparison hand out identical ids.
-    trial_module._trial_ids = itertools.count(1)
+    reset_id_counters()
     conf = HyperConf(
         max_trials=4, max_epochs_per_trial=2, early_stop_patience=2, delta=0.005
     )

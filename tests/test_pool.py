@@ -9,15 +9,14 @@ every exit path.
 
 from __future__ import annotations
 
-import itertools
 import os
 
 import numpy as np
 import pytest
 
-import repro.core.tune.trial as trial_module
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
+from repro.chaos.scenarios import reset_id_counters
 from repro.core.tune import (
     HyperConf,
     PoolTrialExecutor,
@@ -44,7 +43,7 @@ def tiny_space() -> HyperSpace:
 
 
 def make_study(tiny_dataset, seed: int = 3, max_trials: int = 4, max_epochs: int = 2):
-    trial_module._trial_ids = itertools.count(1)
+    reset_id_counters()
     conf = HyperConf(
         max_trials=max_trials, max_epochs_per_trial=max_epochs,
         early_stop_patience=2, delta=0.005,
@@ -259,14 +258,14 @@ class TestCrashRecovery:
             )
 
         params = {"lr": 0.05, "momentum": 0.5}
-        trial_module._trial_ids = itertools.count(1)
+        reset_id_counters()
         probe = backend().start(Trial(params=params), None)
         probe.run_epoch()
         init_state = probe.state_dict()
         # big enough to travel as shm handles, the case under test
         assert any(a.nbytes >= 4096 for a in init_state.values())
 
-        trial_module._trial_ids = itertools.count(1)
+        reset_id_counters()
         reference = backend().start(Trial(params=params), init_state)
         expected = [reference.run_epoch() for _ in range(3)]
 
@@ -275,7 +274,7 @@ class TestCrashRecovery:
                        after=1, max_faults=1)],
             seed=0,
         )
-        trial_module._trial_ids = itertools.count(1)
+        reset_id_counters()
         pool = TrialPool(processes=1)
         prefix = pool.arena.prefix
         with chaos.active(plan), pool:
